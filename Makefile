@@ -75,9 +75,10 @@ bench-check:
 		--current-service /tmp/bench_service_current.json \
 		--current-churn /tmp/bench_churn_current.json
 
-# Every registered protocol x both backends through the scenario layer.
+# Every registered protocol x both backends through the scenario layer,
+# plus the pinned seeded trajectories of the round-based processes.
 scenario-smoke:
-	$(PYTHON) -m pytest tests/test_scenario_smoke.py -q
+	$(PYTHON) -m pytest tests/test_scenario_smoke.py tests/test_flooding_trajectories.py -q
 	$(PYTHON) -m repro.experiments --scenario examples/adversarial_gossip.json
 
 # Sweep plane: grid/runner/store tests, the threshold-churn scenario,

@@ -1,7 +1,7 @@
 """Flooding processes over dynamic graphs.
 
 Three faithful implementations of the paper's three flooding definitions,
-plus a push/pull gossip extension:
+plus push/pull gossip and lossy flooding extensions:
 
 * :func:`flood_discrete` — Definition 3.3, the synchronous process used for
   the streaming models: ``I_t = (I_{t−1} ∪ ∂out(I_{t−1})) ∩ N_t``.
@@ -14,12 +14,15 @@ plus a push/pull gossip extension:
   churn events on the event engine.
 * :func:`gossip_push_pull` — extension (DESIGN.md §5): one random neighbour
   contacted per round instead of all neighbours.
+* :func:`flood_lossy` — flooding where each transmission fails
+  independently.
 
-All processes are also registered by name in
+The four round-based processes share one round loop,
+:func:`repro.flooding.frontier.run_rounds`, and differ only in their
+proposal and update rule.  All five are registered by name in
 :mod:`repro.flooding.protocols` (``discrete``, ``discretized``,
-``asynchronous``, ``gossip``, ``lossy``) behind the uniform
-:class:`~repro.flooding.protocols.Protocol` interface the scenario layer
-selects protocols through.
+``asynchronous``, ``gossip``, ``lossy``); the scenario layer selects them
+through :func:`get_protocol`.
 """
 
 from repro.flooding.asynchronous import flood_asynchronous
@@ -29,7 +32,6 @@ from repro.flooding.gossip import gossip_push_pull
 from repro.flooding.lossy import flood_lossy
 from repro.flooding.protocols import (
     Protocol,
-    all_protocols,
     get_protocol,
     protocol_names,
     register_protocol,
@@ -39,7 +41,6 @@ from repro.flooding.result import FloodingResult
 __all__ = [
     "FloodingResult",
     "Protocol",
-    "all_protocols",
     "flood_asynchronous",
     "flood_discrete",
     "flood_discretized",

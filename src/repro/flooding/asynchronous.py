@@ -51,6 +51,11 @@ def flood_asynchronous(
         set at unit-time boundaries, ``completion_round`` holds the
         ceiling of the (continuous) completion time offset.
     """
+    if not isinstance(network, PoissonNetwork):
+        raise ConfigurationError(
+            "asynchronous flooding interleaves with the Poisson jump "
+            f"chain and needs a PoissonNetwork, got {type(network).__name__}"
+        )
     state = network.state
     if source is None:
         source = state.youngest_alive()

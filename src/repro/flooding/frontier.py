@@ -1,9 +1,15 @@
-"""Frontier strategies for synchronous flooding and gossip.
+"""The round loop and informed-set strategies of the round-based processes.
 
-The round-based spreading processes (:func:`repro.flooding.discrete.flood_discrete`,
-:func:`repro.flooding.gossip.gossip_push_pull`,
-:func:`repro.flooding.lossy.flood_lossy`) track the informed set through
-one of two interchangeable strategies:
+Synchronous flooding (Definition 3.3), discretized flooding (Definition
+4.3), push/pull gossip and lossy flooding share one round structure,
+driven by :func:`run_rounds`: each process supplies a *proposal* read on
+the pre-churn topology ``G_{t−1}`` and a frontier whose :meth:`absorb`
+turns it into ``I_t`` once the round's churn has been applied.  The
+driver records the trajectory and tests completion (``I_t ⊇ N_{t−1} ∩
+N_t``) and extinction.  :func:`resolve_sources` is the shared source
+handling.
+
+Frontiers (informed-set representations):
 
 * :class:`SetFrontier` — the reference implementation: a Python set of
   node ids, boundary via per-node neighbour unions, gossip/lossy contact
@@ -14,46 +20,44 @@ one of two interchangeable strategies:
   and the gossip/lossy proposals draw all of a round's contacts in a
   handful of array operations over the lazy CSR adjacency.
   Requires ``supports_vectorized_frontier``.
+* :class:`IntervalFrontier` — Definition 4.3's set-based update: the
+  proposal freezes the informed nodes' neighbourhoods, and absorb keeps
+  only the informers that survived the interval.
 
-For the deterministic boundary (plain flooding) both strategies compute
-the identical informed set each round — only the representation differs —
-so seeded flooding trajectories match across backends (the cross-backend
-parity tests assert exactly this).  The randomized proposals
-(:meth:`gossip_proposal`, :meth:`lossy_proposal`) draw the same
-*distribution* on either strategy but consume the RNG in different orders,
-so mask-based gossip/lossy runs are statistically equivalent, not
-bit-identical, to the set-based reference.
+For the deterministic boundary (plain flooding) the set and mask
+strategies compute the identical informed set each round — only the
+representation differs — so seeded flooding trajectories match across
+backends (the cross-backend parity tests assert exactly this).  The
+randomized proposals (:meth:`gossip_proposal`, :meth:`lossy_proposal`)
+draw the same *distribution* on either strategy but consume the RNG in
+different orders, so mask-based gossip/lossy runs are statistically
+equivalent, not bit-identical, to the set-based reference.
 
-The round protocol (Definition 3.3's ``I_t = (I_{t−1} ∪ ∂out(I_{t−1})) ∩
-N_t``) is split in two because churn happens between the boundary read and
-the update: call :meth:`boundary` on the *pre-churn* topology, advance the
-network, then :meth:`absorb` the boundary, discarding members that died.
-The mask variant must additionally scrub rows recycled by same-round
-births: a newborn can reuse the row of a dead informed node, and without
-the scrub it would inherit the stale informed bit.
+The mask variant must scrub rows recycled by same-round births in
+:meth:`absorb`: a newborn can reuse the row of a dead informed node, and
+without the scrub it would inherit the stale informed bit.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
 from repro.core.backend import GraphBackend
 from repro.errors import ConfigurationError
+from repro.flooding.result import FloodingResult
 from repro.models.base import DynamicNetwork, RoundReport
 
 
 class Frontier(Protocol):
-    """The informed-set operations flood_discrete needs."""
+    """The informed-set operations :func:`run_rounds` needs."""
 
     def count(self) -> int: ...
 
     def contains(self, node_id: int) -> bool: ...
 
-    def boundary(self) -> object: ...
-
-    def absorb(self, boundary: object, report: RoundReport) -> None: ...
+    def absorb(self, proposal: object, report: RoundReport) -> None: ...
 
 
 class SetFrontier:
@@ -121,6 +125,34 @@ class SetFrontier:
         self.informed |= boundary
         state = self.state
         self.informed = {u for u in self.informed if state.is_alive(u)}
+
+
+class IntervalFrontier(SetFrontier):
+    """Informed set of Definition 4.3's unit-interval flooding (any backend).
+
+    In the Poisson models an edge present at the start of an interval
+    persists through it iff both endpoints are alive at its end, so
+    ``I_t = (I_{t−1} ∩ N_t) ∪ {v ∈ N_t : ∃u ∈ I_{t−1} ∩ N_t, {u,v} ∈ E_{t−1}}``.
+    """
+
+    def neighborhoods(self) -> dict[int, list[int]]:
+        """The informed nodes' neighbourhoods at interval start."""
+        state = self.state
+        return {u: list(state.neighbors(u)) for u in self.informed}
+
+    def absorb(
+        self, neighborhoods: dict[int, list[int]], report: RoundReport
+    ) -> None:
+        """Surviving informers inform their surviving frozen neighbours."""
+        del report  # newborn ids are fresh, so they can never be in I
+        state = self.state
+        survivors = {u for u in self.informed if state.is_alive(u)}
+        newly: set[int] = set()
+        for u in survivors:
+            for v in neighborhoods[u]:
+                if v not in survivors and state.is_alive(v):
+                    newly.add(v)
+        self.informed = survivors | newly
 
 
 class MaskFrontier:
@@ -247,3 +279,86 @@ def resolve_spreading_frontier(
             f"{type(state).__name__}"
         )
     return MaskFrontier(state, informed)
+
+
+def resolve_sources(
+    network: DynamicNetwork,
+    source: int | None,
+    sources: Iterable[int] | None = None,
+) -> tuple[int, set[int]]:
+    """The run's reported source and its initially informed set.
+
+    *sources* (several informed nodes at once) overrides *source*, and
+    the reported source is then the smallest of them.  With neither, the
+    youngest alive node starts (the paper floods from the node that joins
+    at ``t_0``).
+    """
+    state = network.state
+    if sources is not None:
+        initial = set(sources)
+        if not initial:
+            raise ConfigurationError("sources must be non-empty when given")
+        for node in initial:
+            if not state.is_alive(node):
+                raise ConfigurationError(f"source node {node} is not alive")
+        return min(initial), initial
+    if source is None:
+        source = state.youngest_alive()
+    if not state.is_alive(source):
+        raise ConfigurationError(f"source node {source} is not alive")
+    return source, {source}
+
+
+def run_rounds(
+    network: DynamicNetwork,
+    frontier: Frontier,
+    propose: Callable[[], object],
+    source: int,
+    max_rounds: int,
+    stop_when_extinct: bool = True,
+    done_when_alone: bool = False,
+) -> FloodingResult:
+    """Drive one round-based spreading process; return its trajectory.
+
+    Each round calls *propose* on the pre-churn topology ``G_{t−1}``,
+    advances *network* one round, and lets *frontier* absorb the
+    proposal.  The run stops at completion, at extinction (unless
+    *stop_when_extinct* is False, in which case later rounds keep
+    overwriting ``extinction_round``), or after *max_rounds* rounds.
+    *done_when_alone* completes a single-node network at round 0.
+    """
+    state = network.state
+    result = FloodingResult(source=source, start_time=network.now)
+    result.record_round(frontier.count(), state.num_alive())
+    if done_when_alone and state.num_alive() == 1:
+        result.completed = True
+        result.completion_round = 0
+        return result
+
+    for round_index in range(1, max_rounds + 1):
+        proposal = propose()
+
+        report = network.advance_round()
+
+        frontier.absorb(proposal, report)
+        informed_count = frontier.count()
+        result.record_round(informed_count, state.num_alive())
+
+        # Completion criterion I_t ⊇ N_{t-1} ∩ N_t: every uninformed
+        # alive node was born this very round.
+        uninformed_count = state.num_alive() - informed_count
+        fresh_uninformed = sum(
+            1
+            for b in report.births
+            if state.is_alive(b) and not frontier.contains(b)
+        )
+        if informed_count and uninformed_count == fresh_uninformed:
+            result.completed = True
+            result.completion_round = round_index
+            return result
+        if not informed_count:
+            result.extinct = True
+            result.extinction_round = round_index
+            if stop_when_extinct:
+                return result
+    return result

@@ -1,9 +1,8 @@
 """Registry of information-spreading protocols.
 
 Every spreading process in the library is registered here under a short
-name, behind one uniform :class:`Protocol` interface, so the scenario
-layer (:mod:`repro.scenario`), the CLI and the smoke matrix can select a
-protocol declaratively:
+name, so the scenario layer (:mod:`repro.scenario`), the CLI and the
+smoke matrix can select a protocol declaratively:
 
 =================  ===========================================  ==========
 name               process                                      reference
@@ -15,79 +14,58 @@ name               process                                      reference
 ``lossy``          flooding with per-message loss               extension
 =================  ===========================================  ==========
 
-``Protocol.run`` delegates to the corresponding function in
-:mod:`repro.flooding` with identical defaults, so a registry-driven run is
-bit-identical to calling the function directly.  The round-based
-protocols additionally expose the two-phase per-round interface used by
-the frontier strategies — :meth:`Protocol.proposal` on the pre-churn
-topology and :meth:`Frontier.absorb` after the churn — which is what the
-vectorized mask fast path on :class:`~repro.core.array_backend.ArraySlotBackend`
-plugs into.
+An entry is a name, a one-line description and ``run``, the process
+function itself: ``get_protocol(name).run(network, **params)`` is a
+direct call with identical defaults, so a registry-driven run is
+bit-identical to calling the function.  :meth:`Protocol.check_params`
+rejects keys the function does not take, which the scenario layer calls
+when a spec is built and when a flood is started.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Iterable
-
-import numpy as np
+import inspect
+from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.flooding.asynchronous import flood_asynchronous
 from repro.flooding.discrete import flood_discrete
 from repro.flooding.discretized import flood_discretized
-from repro.flooding.frontier import (
-    Frontier,
-    MaskFrontier,
-    SetFrontier,
-    make_frontier,
-    resolve_spreading_frontier,
-)
 from repro.flooding.gossip import gossip_push_pull
 from repro.flooding.lossy import flood_lossy
 from repro.flooding.result import FloodingResult
-from repro.models.base import DynamicNetwork
 
 
-class Protocol(ABC):
+class Protocol:
     """One registered spreading protocol.
 
     Attributes:
         name: registry key (also the JSON scenario spelling).
         description: one-line summary for listings.
-        supports_step: whether the protocol exposes the per-round
-            :meth:`proposal` interface on a frontier (the continuous-time
-            and interval-based processes do not decompose into
-            pre-churn/post-churn round halves).
+        run: the process function, called as ``run(network, **params)``.
     """
 
     name: str = ""
     description: str = ""
-    supports_step: bool = True
+    run: Callable[..., FloodingResult]
 
-    @abstractmethod
-    def run(self, network: DynamicNetwork, **params) -> FloodingResult:
-        """Run the protocol on *network* until completion or its round cap."""
-
-    def make_frontier(
-        self, network: DynamicNetwork, informed: Iterable[int], **params
-    ) -> Frontier:
-        """Build the informed-set representation this protocol steps on."""
-        raise ConfigurationError(
-            f"protocol {self.name!r} does not support per-round stepping"
+    def check_params(self, params: Mapping[str, Any]) -> None:
+        """Reject parameter keys ``run`` does not take (the first
+        parameter, the network, is not a key)."""
+        parameters = list(inspect.signature(self.run).parameters.values())[1:]
+        if any(p.kind is p.VAR_KEYWORD for p in parameters):
+            return
+        known = sorted(
+            p.name
+            for p in parameters
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
         )
-
-    def proposal(
-        self, frontier: Frontier, rng: np.random.Generator, **params
-    ) -> object:
-        """The round's newly-informed candidates on the pre-churn topology.
-
-        Feed the returned value to ``frontier.absorb(proposal, report)``
-        after advancing the network one round.
-        """
-        raise ConfigurationError(
-            f"protocol {self.name!r} does not support per-round stepping"
-        )
+        unknown = sorted(set(params) - set(known))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown parameter(s) {unknown} for protocol {self.name!r}; "
+                f"known: {known}"
+            )
 
 
 _REGISTRY: dict[str, Protocol] = {}
@@ -125,106 +103,40 @@ def all_protocols() -> list[Protocol]:
     return [_REGISTRY[name] for name in protocol_names()]
 
 
+# One class per entry: each carries its own ``run`` attribute, so a caller
+# can wrap one protocol's run on its class without touching the others.
+
+
 @register_protocol
 class DiscreteFlooding(Protocol):
-    """Definition 3.3 synchronous flooding."""
-
     name = "discrete"
     description = "synchronous flooding (Definition 3.3)"
-
-    def run(self, network: DynamicNetwork, **params) -> FloodingResult:
-        return flood_discrete(network, **params)
-
-    def make_frontier(
-        self, network: DynamicNetwork, informed: Iterable[int], **params
-    ) -> Frontier:
-        # Boundary expansion is deterministic, so the mask frontier is
-        # always safe to auto-select (bit-identical informed sets).
-        return make_frontier(network.state, informed)
-
-    def proposal(
-        self, frontier: Frontier, rng: np.random.Generator, **params
-    ) -> object:
-        del rng  # the boundary is deterministic
-        return frontier.boundary()
+    run = staticmethod(flood_discrete)
 
 
 @register_protocol
 class DiscretizedFlooding(Protocol):
-    """Definition 4.3 unit-interval flooding for the Poisson models."""
-
     name = "discretized"
     description = "unit-interval flooding (Definition 4.3)"
-    supports_step = False
-
-    def run(self, network: DynamicNetwork, **params) -> FloodingResult:
-        return flood_discretized(network, **params)
+    run = staticmethod(flood_discretized)
 
 
 @register_protocol
 class AsynchronousFlooding(Protocol):
-    """Definition 4.2 continuous-time flooding for the Poisson models."""
-
     name = "asynchronous"
     description = "continuous-time flooding (Definition 4.2)"
-    supports_step = False
-
-    def run(self, network: DynamicNetwork, **params) -> FloodingResult:
-        from repro.models.poisson import PoissonNetwork
-
-        if not isinstance(network, PoissonNetwork):
-            raise ConfigurationError(
-                "asynchronous flooding interleaves with the Poisson jump "
-                f"chain and needs a PoissonNetwork, got {type(network).__name__}"
-            )
-        return flood_asynchronous(network, **params)
+    run = staticmethod(flood_asynchronous)
 
 
 @register_protocol
 class GossipPushPull(Protocol):
-    """Push/pull gossip (one random contact per node per round)."""
-
     name = "gossip"
     description = "push/pull gossip (O(1) messages per node per round)"
-
-    def run(self, network: DynamicNetwork, **params) -> FloodingResult:
-        return gossip_push_pull(network, **params)
-
-    def make_frontier(
-        self, network: DynamicNetwork, informed: Iterable[int], **params
-    ) -> SetFrontier | MaskFrontier:
-        return resolve_spreading_frontier(
-            network, set(informed), bool(params.get("vectorized", False))
-        )
-
-    def proposal(
-        self, frontier: Frontier, rng: np.random.Generator, **params
-    ) -> object:
-        return frontier.gossip_proposal(
-            rng,
-            push=bool(params.get("push", True)),
-            pull=bool(params.get("pull", True)),
-        )
+    run = staticmethod(gossip_push_pull)
 
 
 @register_protocol
 class LossyFlooding(Protocol):
-    """Flooding with independent per-transmission loss."""
-
     name = "lossy"
     description = "flooding with per-message loss"
-
-    def run(self, network: DynamicNetwork, **params) -> FloodingResult:
-        return flood_lossy(network, **params)
-
-    def make_frontier(
-        self, network: DynamicNetwork, informed: Iterable[int], **params
-    ) -> SetFrontier | MaskFrontier:
-        return resolve_spreading_frontier(
-            network, set(informed), bool(params.get("vectorized", False))
-        )
-
-    def proposal(
-        self, frontier: Frontier, rng: np.random.Generator, **params
-    ) -> object:
-        return frontier.lossy_proposal(rng, float(params.get("loss", 0.0)))
+    run = staticmethod(flood_lossy)

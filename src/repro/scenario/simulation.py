@@ -20,15 +20,19 @@ Two stepping modes:
   drivers, the fused per-round churn kernel (``apply_round_batch``) on
   the streaming-cadence ones.  Same churn law, different seeded
   trajectory (see the drivers' docstrings).  ``fast_rounds=True`` on the
-  spec (or ``REPRO_FAST_ROUNDS=1`` in the environment) requests the same
-  stepping *advisorily*: drivers without a batched path fall back to
-  per-event instead of erroring.
+  spec requests the same stepping *advisorily*: drivers without a batched
+  path fall back to per-event instead of erroring.
 
-Observation windows build topology access **at most once each**: one
-:class:`~repro.core.csr.CSRView` shared by every due ``needs_view``
+Each observation window builds at most one
+:class:`~repro.core.csr.CSRView`, shared by every due ``needs_view``
 observer (zero-copy on the array backend — this is the cheap analysis
-plane) and, only when a due observer still asks for it, one frozen dict
-:class:`Snapshot`.  Neither is built when no due observer wants it.
+plane), and none when no due observer wants it.  The session never
+freezes a dict :class:`Snapshot` on its own; an observer that needs one
+calls :meth:`Simulation.snapshot`.
+
+Protocol dispatch goes through the :mod:`repro.flooding.protocols`
+registry: :meth:`Simulation.flood` checks the merged ``protocol_params``
+keys against the protocol's run function, then calls it.
 
 Service plane (see :mod:`repro.service`): a session checkpoints itself
 every ``checkpoint_every`` rounds into ``checkpoint_dir`` (resolved from
@@ -42,7 +46,6 @@ uninterrupted seeded run exactly.
 from __future__ import annotations
 
 import math
-import os
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -80,13 +83,8 @@ class _ObserverFeed:
         self.window.events.extend(report.events)
         self.window.end_time = report.end_time
 
-    def flush(
-        self,
-        snapshot: Snapshot | None,
-        view: CSRView | None,
-        rounds_completed: int,
-    ) -> None:
-        self.observer.on_round(self.window, snapshot)
+    def flush(self, view: CSRView | None, rounds_completed: int) -> None:
+        self.observer.on_round(self.window)
         if self.observer.needs_view:
             self.observer.on_view(self.window, view)
         self.window = RoundReport(
@@ -351,13 +349,9 @@ class Simulation:
 
         ``fast_rounds`` is advisory where ``churn_params['batch']`` is
         mandatory: a driver without a batched path silently runs
-        per-event.  The ``REPRO_FAST_ROUNDS`` environment variable turns
-        the request on process-wide.
+        per-event.
         """
-        requested = self.spec.fast_rounds or os.environ.get(
-            "REPRO_FAST_ROUNDS", ""
-        ).strip().lower() in ("1", "true", "yes", "on")
-        return requested and self.network.supports_batched_advance
+        return self.spec.fast_rounds and self.network.supports_batched_advance
 
     def _dispatch(self, report: RoundReport) -> None:
         due: list[_ObserverFeed] = []
@@ -366,20 +360,15 @@ class Simulation:
             if feed.observer.due(self.rounds_completed):
                 due.append(feed)
         if due:
-            # One window, one build of each representation, shared by
-            # every due observer; skipped entirely when nobody asks.
+            # One window, one view build shared by every due observer;
+            # skipped entirely when nobody asks.
             view = (
                 self.csr_view()
                 if any(f.observer.needs_view for f in due)
                 else None
             )
-            snapshot = (
-                self.snapshot()
-                if any(f.observer.needs_snapshot for f in due)
-                else None
-            )
             for feed in due:
-                feed.flush(snapshot, view, self.rounds_completed)
+                feed.flush(view, self.rounds_completed)
 
     def _run_per_event(self, rounds: int) -> None:
         for _ in range(rounds):
@@ -435,13 +424,8 @@ class Simulation:
             if any(o.needs_view for o in finishing)
             else None
         )
-        snapshot = (
-            self.snapshot()
-            if any(o.needs_snapshot for o in finishing)
-            else None
-        )
         for observer in finishing:
-            observer.on_finish(snapshot)
+            observer.on_finish()
             if observer.needs_view:
                 observer.on_view(None, view)
 
@@ -468,6 +452,7 @@ class Simulation:
         name = overrides.pop("protocol", None)
         protocol = get_protocol(name) if name is not None else self.protocol()
         params = {**self.spec.protocol_params, **overrides}
+        protocol.check_params(params)
         result = protocol.run(self.network, **params)
         self.flood_results.append(result)
         for observer in self.observers:

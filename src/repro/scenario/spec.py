@@ -11,10 +11,10 @@ scenario behaves identically whether it was written in Python or loaded
 from a JSON file.
 
 Validation happens at construction: unknown churn models, policies,
-protocols, churn/policy parameter keys and churn/policy mismatches raise
-:class:`~repro.errors.ConfigurationError` immediately.  (``protocol_params``
-are forwarded verbatim to the protocol's run function, which rejects
-unknown keywords when the protocol is actually run.)
+protocols, churn/policy/protocol parameter keys and churn/policy
+mismatches raise :class:`~repro.errors.ConfigurationError` immediately.
+(``protocol_params`` keys are checked against the protocol's run
+function signature; their values reach it verbatim.)
 """
 
 from __future__ import annotations
@@ -91,9 +91,7 @@ class ScenarioSpec:
             gaps advance through the driver's batched window path when it
             has one (``supports_batched_advance``), falling back to
             per-event rounds otherwise.  Same churn law, different seeded
-            trajectory (like ``fast_warm``).  The ``REPRO_FAST_ROUNDS``
-            environment variable (``1``/``true``/``yes``/``on``) turns it
-            on process-wide without editing specs.
+            trajectory (like ``fast_warm``).
     """
 
     churn: str = "streaming"
@@ -167,7 +165,8 @@ class ScenarioSpec:
         make_policy(self)  # validates the policy name and its parameters
         validate_churn_params(self)  # churn param keys + policy/model fit
         if self.protocol is not None:
-            get_protocol(self.protocol)  # validates the protocol name
+            # validates the protocol name and its parameter keys
+            get_protocol(self.protocol).check_params(self.protocol_params)
 
     # ------------------------------------------------------------------
     # sweeps

@@ -49,7 +49,6 @@ from repro.scenario import (
     DegreeStatsObserver,
     ExpansionObserver,
     IsolatedNodesObserver,
-    Observer,
     ScenarioSpec,
     Simulation,
     simulate,
@@ -587,28 +586,6 @@ class TestObserverSharing:
         assert final["max_degree"] == summary.max_degree
         assert final["mean_degree"] == pytest.approx(summary.mean_degree)
         assert results["isolated"]["final"]["isolated"] == count_isolated(snap)
-
-    def test_legacy_snapshot_observer_still_fed(self):
-        class SnapshotEcho(Observer):
-            name = "snapshot_echo"
-
-            def __init__(self):
-                super().__init__(every=4)
-                self.snapshots = []
-
-            def on_round(self, report, snapshot):
-                self.snapshots.append(snapshot)
-
-            def on_finish(self, snapshot):
-                self.snapshots.append(snapshot)
-
-        echo = SnapshotEcho()
-        spec = ScenarioSpec(churn="streaming", policy="regen", n=30, d=3, horizon=8)
-        Simulation(spec, observers=[echo], seed=2).run()
-        # Cadence windows at rounds 4 and 8; round 8 is the horizon, so
-        # on_finish is suppressed for this already-flushed observer.
-        assert len(echo.snapshots) == 2
-        assert all(s is not None and s.num_nodes() == 30 for s in echo.snapshots)
 
     def test_no_builds_when_nobody_asks(self):
         spec = ScenarioSpec(churn="streaming", policy="regen", n=30, d=3, horizon=6)

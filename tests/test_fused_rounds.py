@@ -313,14 +313,6 @@ class TestFastRoundsSimulation:
         assert sim.network.num_alive() == 40
         sim.state.check_invariants()
 
-    def test_env_var_turns_it_on(self, monkeypatch):
-        from repro.scenario import Simulation
-
-        spec = self._spec(fast_rounds=False)
-        assert not Simulation(spec)._fast_rounds_active()
-        monkeypatch.setenv("REPRO_FAST_ROUNDS", "1")
-        assert Simulation(spec)._fast_rounds_active()
-
     def test_advisory_on_unbatched_driver(self):
         # The adversarial driver has no fused path: fast_rounds falls
         # back to per-event instead of erroring (unlike batch=True).

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.scenario import (
     ScenarioSpec,
+    Simulation,
     load_scenario_document,
     make_observer,
     observer_names,
@@ -116,6 +117,35 @@ class TestValidation:
     def test_unknown_lifetime_fails_at_construction(self):
         with pytest.raises(ConfigurationError, match="unknown lifetime law"):
             ScenarioSpec(churn="general", churn_params={"lifetime": "uniform"})
+
+    def test_protocol_param_the_protocol_does_not_take(self):
+        with pytest.raises(ConfigurationError, match=r"\['vectorized'\]") as info:
+            ScenarioSpec(protocol="discrete", protocol_params={"vectorized": True})
+        assert "'max_rounds'" in str(info.value)  # lists the known keys
+
+    def test_typoed_protocol_param(self):
+        with pytest.raises(ConfigurationError, match=r"\['los'\].*'loss'"):
+            ScenarioSpec(protocol="lossy", protocol_params={"los": 0.1})
+
+    def test_typoed_protocol_param_in_json_document(self):
+        document = {
+            "scenario": {
+                "churn": "streaming",
+                "protocol": "gossip",
+                "protocol_params": {"push": True, "pul": False},
+            }
+        }
+        with pytest.raises(ConfigurationError, match=r"\['pul'\]"):
+            load_scenario_document(json.dumps(document))
+
+    def test_bad_flood_override(self):
+        spec = ScenarioSpec(churn="streaming", n=20, protocol="discrete")
+        sim = Simulation(spec, seed=0)
+        with pytest.raises(ConfigurationError, match=r"\['vectorized'\]"):
+            sim.flood(vectorized=True)
+        with pytest.raises(ConfigurationError, match=r"\['max_rounds'\]"):
+            sim.flood(protocol="asynchronous", max_rounds=5)
+        assert sim.flood_results == []
 
     def test_bad_scale(self):
         with pytest.raises(ConfigurationError):
