@@ -21,7 +21,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from repro.analysis.components import component_labels
-from repro.core.csr import CSRView
+from repro.core.csr import CSRView, sorted_unique
 from repro.core.snapshot import Snapshot
 from repro.errors import AnalysisError
 from repro.util.rng import SeedLike, make_rng
@@ -44,7 +44,7 @@ def _bfs_levels_csr(view: CSRView, source_vert: int) -> np.ndarray:
         flat, _ = view.gather_neighbors(frontier)
         if flat.size == 0:
             break
-        flat = np.unique(flat)
+        flat = sorted_unique(flat)
         flat = flat[dist[flat] < 0]
         dist[flat] = level + 1
         frontier = flat

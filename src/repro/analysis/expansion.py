@@ -47,6 +47,7 @@ from repro.core.csr import (
     candidate_key,
     candidate_key_array,
     mix64,
+    sorted_unique,
 )
 from repro.core.snapshot import Snapshot
 from repro.errors import AnalysisError
@@ -641,13 +642,7 @@ class _CSRProbe:
             flat, owner_pos = view.gather_neighbors(frontier_vert)
             src_rep = frontier_src[owner_pos]
             fresh = ~visited[src_rep, flat]
-            pair_keys = src_rep[fresh] * space + flat[fresh]
-            pair_keys.sort()  # sort-based dedupe (np.unique's hash is slower)
-            if pair_keys.size:
-                distinct = np.empty(pair_keys.size, dtype=bool)
-                distinct[0] = True
-                np.not_equal(pair_keys[1:], pair_keys[:-1], out=distinct[1:])
-                pair_keys = pair_keys[distinct]
+            pair_keys = sorted_unique(src_rep[fresh] * space + flat[fresh])
             shell_src = pair_keys // space
             shell_vert = pair_keys % space
             shell_count = np.bincount(shell_src, minlength=count)

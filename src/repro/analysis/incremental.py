@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.analysis.expansion import BallRecorder, ExpansionProbe, _CSRProbe
 from repro.core.backend import GraphBackend
-from repro.core.csr import CSRView
+from repro.core.csr import CSRView, sorted_unique
 from repro.errors import AnalysisError
 from repro.util.rng import SeedLike, make_rng
 
@@ -151,7 +151,7 @@ class ProbeCache:
             flat, _ = view.gather_neighbors(frontier)
             if flat.size == 0:
                 break
-            flat = np.unique(flat)
+            flat = sorted_unique(flat)
             flat = flat[dist[flat] < 0]
             dist[flat] = level + 1
             frontier = flat

@@ -11,16 +11,28 @@
   trajectories are bit-identical across backends on the per-event path);
 * **a lazily rebuilt CSR adjacency** — distinct-neighbour queries
   (snapshots, degree vectors, edge counts) rebuild a CSR structure at
-  most once per topology version, entirely in vectorized NumPy;
+  most once per topology version: one in-place sort of the directed
+  slot keys plus an adjacent-difference mask
+  (:func:`~repro.core.csr.sorted_unique`; a plain ``np.unique`` takes
+  NumPy's far slower hash path);
+* **a lazily materialized reverse index** — ``_in_refs[row]`` is the set
+  of ``(source_id, slot)`` pairs pointing at ``row``, so deaths stay
+  O(degree).  Bulk writers (fused windows, restore) only mark it stale,
+  and batched births and placements skip it while it is stale; the next
+  per-event mutation or neighbour query rebuilds an in-ref CSR with one
+  stable argsort of the slot targets, and a row's set is built from it
+  on first subscript;
 * **batched births** — :meth:`apply_births` applies thousands of births
   in a handful of array operations (same distribution as the sequential
   path, different RNG stream consumption);
-* **a dense in-degree counter** — ``_in_count`` mirrors
-  ``len(_in_refs[row])`` as an ``int32`` array, so capacity checks in the
-  bounded-degree policies (and the bulk accept/reject sampler
-  :meth:`place_slots_capped`) never touch the per-row Python sets.
+* **a dense in-degree counter** — ``_in_count`` counts the assigned
+  slots pointing at each row as an ``int32`` array, valid at all times,
+  so capacity checks in the bounded-degree policies (and the bulk
+  accept/reject sampler :meth:`place_slots_capped`) never touch the
+  reverse index.
 
-The slot matrix stores row indices rather than node ids so that every
+The slot matrix is the only source of truth; both indices derive from
+it.  It stores row indices rather than node ids so that every
 vectorized pass (frontier expansion, CSR rebuild) indexes arrays directly.
 An assigned slot always points at an alive row: when a node dies all slots
 pointing at it are cleared (they are the returned orphans), so no stale
@@ -38,7 +50,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.backend import GraphBackend
-from repro.core.csr import CSRView
+from repro.core.csr import CSRView, sorted_unique
 from repro.core.node import NodeRecord
 from repro.core.snapshot import Snapshot
 from repro.errors import SimulationError
@@ -46,6 +58,64 @@ from repro.errors import SimulationError
 
 #: Largest node id / CSR offset representable in the compact (int32) mode.
 _INT32_MAX = np.iinfo(np.int32).max
+
+#: In-ref CSR of an index with no rows (read-only; never written).
+_NO_ROWS_PTR = np.zeros(1, dtype=np.int64)
+_NO_ENTRIES = np.empty(0, dtype=np.int64)
+
+
+class _InRefIndex(dict):
+    """Reverse index ``row → {(source_id, slot), ...}``, filled on demand.
+
+    Built from an in-ref CSR over the slot matrix: ``ptr`` delimits each
+    target row's run in ``sources``/``cols`` (the owning node ids and
+    slot indices of the slots pointing at that row).  A row's set is
+    materialized from its run on first subscript (``__missing__``), so
+    per-event code keeps a plain ``index[row]``; from then on the
+    per-event mutators maintain the set.  A row never subscripted since
+    the build has had no slot pointing at it written, so its run is
+    still exact.
+    """
+
+    __slots__ = ("_ptr", "_sources", "_cols")
+
+    def __init__(
+        self,
+        ptr: np.ndarray = _NO_ROWS_PTR,
+        sources: np.ndarray = _NO_ENTRIES,
+        cols: np.ndarray = _NO_ENTRIES,
+    ) -> None:
+        super().__init__()
+        self._ptr = ptr
+        self._sources = sources
+        self._cols = cols
+
+    @classmethod
+    def from_slots(cls, slots: np.ndarray, id_of: np.ndarray) -> "_InRefIndex":
+        """Index every assigned slot of *slots* by its target row (one
+        stable argsort, no per-entry Python work)."""
+        flat = slots.reshape(-1)
+        entries = np.flatnonzero(flat >= 0)
+        targets = flat[entries]
+        entries = entries[np.argsort(targets, kind="stable")]
+        ptr = np.zeros(slots.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(targets, minlength=slots.shape[0]), out=ptr[1:])
+        width = slots.shape[1]
+        return cls(ptr, id_of[entries // width], entries % width)
+
+    def derived(self, row: int) -> set[tuple[int, int]]:
+        """The set the in-ref CSR records for *row* (empty past its end)."""
+        if row + 1 >= self._ptr.size:
+            return set()
+        lo, hi = self._ptr[row], self._ptr[row + 1]
+        return set(
+            zip(self._sources[lo:hi].tolist(), self._cols[lo:hi].tolist())
+        )
+
+    def __missing__(self, row: int) -> set[tuple[int, int]]:
+        refs = self.derived(row)
+        self[row] = refs
+        return refs
 
 
 def _compact_default() -> bool:
@@ -84,14 +154,14 @@ class ArraySlotBackend(GraphBackend):
         self._birth = np.zeros(self._cap, dtype=np.float64)
         self._id_of = np.full(self._cap, -1, dtype=self._id_dtype)
         self._alive_rows = np.zeros(self._cap, dtype=bool)
-        self._in_refs: list[set[tuple[int, int]]] = [set() for _ in range(self._cap)]
-        # The fused round kernel (apply_round_batch) rewrites the whole
-        # slot matrix without maintaining the per-row reverse sets — it
-        # marks them stale instead, and _ensure_in_refs() rebuilds them
-        # from the slot matrix on the next per-event mutation or
-        # neighbour query.  _in_count stays valid at all times (the
-        # kernel recomputes it with one bincount).
-        self._in_refs_stale = False
+        # The slot matrix is the only source of truth.  The reverse index
+        # is derived from it: bulk writers (fused windows, restore) only
+        # mark it stale, batched births skip it while it is stale, and
+        # _ensure_in_refs() rebuilds it on the next per-event mutation or
+        # neighbour query — one vectorized in-ref CSR, with per-row sets
+        # materialized on first access.  A new backend starts stale.
+        # _in_count stays valid at all times.
+        self._mark_in_refs_stale()
         self._in_count = np.zeros(self._cap, dtype=np.int32)
         self._row_of: dict[int, int] = {}
         self._free: list[int] = []
@@ -176,7 +246,6 @@ class ArraySlotBackend(GraphBackend):
         alive_grown = np.zeros(new_cap, dtype=bool)
         alive_grown[:old_cap] = self._alive_rows
         self._alive_rows = alive_grown
-        self._in_refs.extend(set() for _ in range(new_cap - old_cap))
         in_count_grown = np.zeros(new_cap, dtype=np.int32)
         in_count_grown[:old_cap] = self._in_count
         self._in_count = in_count_grown
@@ -187,22 +256,15 @@ class ArraySlotBackend(GraphBackend):
         self._width = new_width
 
     def _ensure_in_refs(self) -> None:
-        """Rebuild the per-row reverse-reference sets if a fused window
-        left them stale (one vectorized scan of the slot matrix plus a
-        Python insert per assigned slot)."""
-        if not self._in_refs_stale:
-            return
-        self._in_refs_stale = False
-        in_refs: list[set[tuple[int, int]]] = [set() for _ in range(self._cap)]
-        self._in_refs = in_refs
-        rows, cols = np.nonzero(self._slots >= 0)
-        if rows.size:
-            targets = self._slots[rows, cols]
-            sources = self._id_of[rows]
-            for source, col, trow in zip(
-                sources.tolist(), cols.tolist(), targets.tolist()
-            ):
-                in_refs[trow].add((source, col))
+        """Rebuild the reverse index from the slot matrix if it is stale."""
+        if self._in_refs_stale:
+            self._in_refs = _InRefIndex.from_slots(self._slots, self._id_of)
+            self._in_refs_stale = False
+
+    def _mark_in_refs_stale(self) -> None:
+        """Drop the reverse index after a bulk rewrite of the slot matrix."""
+        self._in_refs = _InRefIndex()
+        self._in_refs_stale = True
 
     # ------------------------------------------------------------------
     # basic queries
@@ -327,7 +389,7 @@ class ArraySlotBackend(GraphBackend):
             raise IndexError(
                 f"slot index {slot_index} out of range for node {source}"
             )
-        trow = self._slots[srow, slot_index]
+        trow = int(self._slots[srow, slot_index])  # int: a reverse-index key
         if trow < 0:
             return None
         self._slots[srow, slot_index] = -1
@@ -349,8 +411,8 @@ class ArraySlotBackend(GraphBackend):
         touched = [node_id]
 
         # Drop the dying node's own requests.
-        for slot_index in range(int(self._num_slots[row])):
-            trow = self._slots[row, slot_index]
+        out = self._slots[row, : self._num_slots[row]].tolist()
+        for slot_index, trow in enumerate(out):
             if trow >= 0:
                 self._in_refs[trow].discard((node_id, slot_index))
                 self._in_count[trow] -= 1
@@ -451,7 +513,6 @@ class ArraySlotBackend(GraphBackend):
         count = len(node_ids)
         if count == 0:
             return
-        self._ensure_in_refs()
         # Existing alive rows in IndexedSet order, then the new rows: the
         # first m0 + k entries are exactly newborn k's candidate pool.
         m0 = self.num_alive()
@@ -472,13 +533,14 @@ class ArraySlotBackend(GraphBackend):
         flat[valid] = target_rows
         self._slots[np.repeat(rows, num_slots), np.tile(np.arange(num_slots), count)] = flat
 
-        source_ids = np.repeat(ids, num_slots)[valid]
-        slot_indices = np.tile(np.arange(num_slots), count)[valid]
-        in_refs = self._in_refs
-        for source, slot_index, trow in zip(
-            source_ids.tolist(), slot_indices.tolist(), target_rows.tolist()
-        ):
-            in_refs[trow].add((source, slot_index))
+        if not self._in_refs_stale:
+            source_ids = np.repeat(ids, num_slots)[valid]
+            slot_indices = np.tile(np.arange(num_slots), count)[valid]
+            in_refs = self._in_refs
+            for source, slot_index, trow in zip(
+                source_ids.tolist(), slot_indices.tolist(), target_rows.tolist()
+            ):
+                in_refs[trow].add((source, slot_index))
         if target_rows.size:
             np.add.at(self._in_count, target_rows, 1)
         self._note_mutation(
@@ -505,7 +567,6 @@ class ArraySlotBackend(GraphBackend):
             return
         targets = np.asarray(targets, dtype=np.int64)
         num_slots = targets.shape[1] if targets.ndim == 2 else 0
-        self._ensure_in_refs()
         rows = self.add_nodes(node_ids, times, num_slots)
         if num_slots == 0:
             return
@@ -531,12 +592,13 @@ class ArraySlotBackend(GraphBackend):
         src_cols = np.tile(np.arange(num_slots), count)[valid]
         self._slots[src_rows, src_cols] = trows
         np.add.at(self._in_count, trows, 1)
-        in_refs = self._in_refs
-        src_ids = np.repeat(ids, num_slots)[valid]
-        for source, col, trow in zip(
-            src_ids.tolist(), src_cols.tolist(), trows.tolist()
-        ):
-            in_refs[trow].add((source, int(col)))
+        if not self._in_refs_stale:
+            in_refs = self._in_refs
+            src_ids = np.repeat(ids, num_slots)[valid]
+            for source, col, trow in zip(
+                src_ids.tolist(), src_cols.tolist(), trows.tolist()
+            ):
+                in_refs[trow].add((source, col))
         self._note_mutation(
             self._id_of[trows].tolist() if self._touched is not None else ()
         )
@@ -569,9 +631,9 @@ class ArraySlotBackend(GraphBackend):
         only targets locals ``≥ j``, so it can never point at a node that
         dies before it exists) and dead targets are masked wholesale.  The write-back relabels
         the ``n`` final survivors into rows ``0..n-1`` in ascending id
-        order and marks the reverse-reference sets stale
-        (:meth:`_ensure_in_refs` rebuilds them only if a per-event
-        operation needs them — steady fused streaming with CSR observers
+        order and marks the reverse index stale
+        (:meth:`_ensure_in_refs` rebuilds it only if a per-event
+        operation needs it — steady fused streaming with CSR observers
         never does).
         """
         n = int(plan.n)
@@ -672,7 +734,7 @@ class ArraySlotBackend(GraphBackend):
         from repro.util.sampling import IndexedSet
 
         self.alive = IndexedSet.from_unique_list(final_ids.tolist())
-        self._in_refs_stale = True
+        self._mark_in_refs_stale()
         self._note_mutation(
             range(base, base + n + W) if self._touched is not None else ()
         )
@@ -809,7 +871,6 @@ class ArraySlotBackend(GraphBackend):
             per-slot loop, different RNG stream consumption — this is a
             batch path, not a per-event path.
         """
-        self._ensure_in_refs()
         source_ids = np.asarray(sources, dtype=np.int64)
         slot_cols = np.asarray(slot_indices, dtype=np.int64)
         count = len(source_ids)
@@ -884,12 +945,13 @@ class ArraySlotBackend(GraphBackend):
                 accepted_rows = trows[accepted]
                 self._slots[srows[hit], slot_cols[hit]] = accepted_rows
                 np.add.at(in_count, accepted_rows, 1)
-                for s, j, trow in zip(
-                    source_ids[hit].tolist(),
-                    slot_cols[hit].tolist(),
-                    accepted_rows.tolist(),
-                ):
-                    in_refs[trow].add((s, j))
+                if not self._in_refs_stale:
+                    for s, j, trow in zip(
+                        source_ids[hit].tolist(),
+                        slot_cols[hit].tolist(),
+                        accepted_rows.tolist(),
+                    ):
+                        in_refs[trow].add((s, j))
                 placed[hit] = self._id_of[accepted_rows]
             pending = pending[~accepted]
         if self._touched is not None:
@@ -909,9 +971,9 @@ class ArraySlotBackend(GraphBackend):
         mask = self._slots >= 0
         src = np.nonzero(mask)[0]
         tgt = self._slots[mask]
-        u = np.concatenate([src, tgt])
-        v = np.concatenate([tgt, src])
-        keys = np.unique(u * np.int64(cap) + v)
+        keys = sorted_unique(
+            np.concatenate([src * np.int64(cap) + tgt, tgt * np.int64(cap) + src])
+        )
         uu = keys // cap
         vv = keys % cap
         counts = np.bincount(uu, minlength=cap)
@@ -990,8 +1052,9 @@ class ArraySlotBackend(GraphBackend):
         Only the touched row prefix ``[:_high]`` of each dense array is
         emitted; the free-list order is preserved verbatim because
         :meth:`_take_row` pops from its end (row assignment order is
-        RNG-visible through batched births).  The lazy CSR cache is not
-        serialized — restore marks it stale and it rebuilds on demand.
+        RNG-visible through batched births).  The derived indices (CSR,
+        reverse index) are not serialized — restore marks them stale and
+        they rebuild on demand.
         """
         high = self._high
         return {
@@ -1032,23 +1095,18 @@ class ArraySlotBackend(GraphBackend):
         self._id_of[:high] = np.asarray(payload["id_of"], dtype=self._id_dtype)
         self._alive_rows[:high] = np.asarray(payload["alive_rows"], dtype=bool)
         self._free = [int(row) for row in payload["free"]]
-        # Derived indices: _row_of from the id column, _in_refs/_in_count
-        # from the slot matrix (sets carry no RNG-visible order).
-        self._row_of = {
-            int(self._id_of[row]): int(row)
-            for row in np.nonzero(self._alive_rows)[0]
-        }
-        self._in_refs = [set() for _ in range(self._cap)]
-        self._in_refs_stale = False
-        self._in_count = np.zeros(self._cap, dtype=np.int32)
-        rows, slot_cols = np.nonzero(self._slots >= 0)
-        for row, col in zip(rows.tolist(), slot_cols.tolist()):
-            target = int(self._slots[row, col])
-            self._in_refs[target].add((int(self._id_of[row]), col))
-        if len(rows):
-            self._in_count[: self._high] = np.bincount(
-                self._slots[rows, slot_cols], minlength=self._high
-            ).astype(np.int32)[: self._high]
+        # Derived indices: _row_of from the id column, _in_count from the
+        # slot matrix; the reverse index rebuilds lazily (its sets carry
+        # no RNG-visible order).
+        alive_rows = np.flatnonzero(self._alive_rows)
+        self._row_of = dict(
+            zip(self._id_of[alive_rows].tolist(), alive_rows.tolist())
+        )
+        self._mark_in_refs_stale()
+        targets = self._slots[self._slots >= 0]
+        self._in_count = np.bincount(targets, minlength=self._cap).astype(
+            np.int32
+        )
         self.alive = IndexedSet(payload["alive"])
         self._next_id = int(payload["next_id"])
         self._mutation_epoch = int(payload["mutation_epoch"])
@@ -1111,17 +1169,18 @@ class ArraySlotBackend(GraphBackend):
     def check_invariants(self) -> None:
         """Raise :class:`SimulationError` if internal indices disagree.
 
-        Checked invariants:
+        Every derived index is checked against a recount from the slot
+        matrix, the only source of truth:
           * id/row maps are mutually consistent with the alive structures;
-          * every assigned slot points at an alive row and is registered
-            in the target's reverse index;
-          * every reverse-index entry corresponds to a real assignment;
-          * the dense ``_in_count`` mirror equals ``len(_in_refs[row])``
-            on every used row;
-          * free rows are fully cleared (no stale slots or reverse refs);
-          * CSR degrees and the cached edge count match a recount.
+          * every assigned slot points at an alive row;
+          * the reverse index holds exactly the assignments pointing at
+            each row — every materialized row, every row still served from
+            the in-ref CSR, and a cold rebuild from the slot matrix;
+          * the dense ``_in_count`` equals that count on every row;
+          * free rows are fully cleared;
+          * every CSR row is the sorted distinct neighbour set of its row
+            and the cached edge count matches.
         """
-        self._ensure_in_refs()
         for node_id, row in self._row_of.items():
             if self._id_of[row] != node_id:
                 raise SimulationError(f"row map corrupt for node {node_id}")
@@ -1130,50 +1189,58 @@ class ArraySlotBackend(GraphBackend):
         if len(self._row_of) != self.num_alive():
             raise SimulationError("row map and alive set sizes disagree")
 
-        pairs: set[tuple[int, int]] = set()
+        refs: dict[int, set[tuple[int, int]]] = {}
+        nbrs: dict[int, set[int]] = {}
         for node_id, row in self._row_of.items():
             for slot_index in range(int(self._num_slots[row])):
-                trow = self._slots[row, slot_index]
+                trow = int(self._slots[row, slot_index])
                 if trow < 0:
                     continue
                 if not self._alive_rows[trow]:
                     raise SimulationError(
                         f"slot ({node_id},{slot_index}) points at dead row {trow}"
                     )
-                if (node_id, slot_index) not in self._in_refs[trow]:
+                refs.setdefault(trow, set()).add((node_id, slot_index))
+                nbrs.setdefault(row, set()).add(trow)
+                nbrs.setdefault(trow, set()).add(row)
+
+        live = None if self._in_refs_stale else self._in_refs
+        cold = _InRefIndex.from_slots(self._slots, self._id_of)
+        for row in range(self._cap):
+            expected = refs.get(row, set())
+            if cold.derived(row) != expected:
+                raise SimulationError(
+                    f"cold reverse-index rebuild disagrees at row {row}"
+                )
+            if live is not None:
+                held = live.get(row)  # dict.get: no materialization
+                if held is None:
+                    held = live.derived(row)
+                if held != expected:
                     raise SimulationError(
-                        f"slot ({node_id},{slot_index}) missing from in_refs"
+                        f"reverse index at row {row} holds {sorted(held)}, "
+                        f"slots say {sorted(expected)}"
                     )
-                target = int(self._id_of[trow])
-                pairs.add((min(node_id, target), max(node_id, target)))
-        for row in range(self._high):
-            if self._in_count[row] != len(self._in_refs[row]):
+            if self._in_count[row] != len(expected):
                 raise SimulationError(
                     f"in_count[{row}] = {self._in_count[row]} but "
-                    f"{len(self._in_refs[row])} reverse refs are registered"
+                    f"{len(expected)} slots point at it"
                 )
-            for source, slot_index in self._in_refs[row]:
-                srow = self._row_of.get(source)
-                if srow is None or self._slots[srow, slot_index] != row:
-                    raise SimulationError(
-                        f"stale in_ref ({source},{slot_index}) -> row {row}"
-                    )
         for row in self._free:
             if (
                 self._id_of[row] != -1
                 or self._alive_rows[row]
-                or self._in_refs[row]
-                or self._in_count[row]
                 or np.any(self._slots[row] >= 0)
             ):
                 raise SimulationError(f"free row {row} is not fully cleared")
 
-        if self.num_edges() != len(pairs):
+        indptr, indices = self.adjacency_csr()
+        for row in range(self._cap):
+            got = indices[indptr[row] : indptr[row + 1]].tolist()
+            if got != sorted(nbrs.get(row, ())):
+                raise SimulationError(f"CSR row {row} disagrees with the slots")
+        edges = sum(len(row_nbrs) for row_nbrs in nbrs.values()) // 2
+        if self.num_edges() != edges:
             raise SimulationError(
-                f"CSR edge count {self.num_edges()} != recount {len(pairs)}"
+                f"CSR edge count {self.num_edges()} != recount {edges}"
             )
-        for node_id in self.alive_ids():
-            indptr, _ = self.adjacency_csr()
-            row = self._row_of[node_id]
-            if indptr[row + 1] - indptr[row] != len(self.neighbors(node_id)):
-                raise SimulationError(f"CSR degree mismatch for node {node_id}")

@@ -80,6 +80,24 @@ def candidate_key_array(sizes: np.ndarray, xors: np.ndarray) -> np.ndarray:
     return mix64_array(xors ^ mix64_array(sizes))
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of *keys*, sorting *keys* in place.
+
+    Same result as plain ``np.unique(keys)``, which on NumPy 2.x takes a
+    hash-table path that is ~60x slower on the millions of integer keys
+    a CSR rebuild or a BFS shell produces.  An in-place sort plus an
+    adjacent-difference mask is the fast path, so callers pass a scratch
+    array they own (a fancy-indexing result, a fresh concatenation).
+    """
+    keys.sort()
+    if keys.size < 2:
+        return keys
+    distinct = np.empty(keys.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    return keys[distinct]
+
+
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``[starts[i], starts[i]+counts[i])`` index ranges.
 
@@ -257,11 +275,7 @@ class CSRView:
         flat, _ = self.gather_neighbors(member_verts)
         if flat.size == 0:
             return 0
-        flat = np.sort(flat)
-        first = np.empty(flat.size, dtype=bool)
-        first[0] = True
-        np.not_equal(flat[1:], flat[:-1], out=first[1:])
-        distinct = flat[first]
+        distinct = sorted_unique(flat)
         members = np.sort(member_verts)
         pos = np.searchsorted(members, distinct)
         pos[pos == members.size] = members.size - 1
