@@ -1,8 +1,10 @@
 """Setup shim.
 
-The canonical metadata lives in pyproject.toml; this file exists so that
-``pip install -e . --no-use-pep517`` works on machines without the ``wheel``
-package (offline environments).
+The repository carries no ``pyproject.toml`` and declares no package
+metadata: the library runs from a checkout with ``PYTHONPATH=src`` (see
+the README's "Setup" section; its runtime dependencies — numpy, scipy
+and networkx — are listed in ``requirements-dev.txt``).  This file only
+marks the checkout as a setuptools project.
 """
 
 from setuptools import setup

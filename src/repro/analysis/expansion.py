@@ -18,11 +18,12 @@ so the module offers three tools:
 
 Both probes run on either graph representation: a frozen dict
 :class:`~repro.core.snapshot.Snapshot` (the readable reference path) or a
-:class:`~repro.core.csr.CSRView` (the vectorized analysis plane — mask
-frontiers for the multi-source BFS balls, gather/`np.bincount` boundary
-counts, a vectorized greedy sweep, and batched random-set ratios).  The
-two paths evaluate the *identical* candidate portfolio — candidates are
-ordered canonically (ascending node id), ties break on
+:class:`~repro.core.csr.CSRView` (the vectorized analysis plane — BFS
+balls grown chunk-wise as sparse products with the closed adjacency
+``A + I``, gather/`np.bincount` boundary counts, a vectorized greedy
+sweep, and batched random-set ratios).  The two paths evaluate the
+*identical* candidate portfolio — candidates are ordered canonically
+(ascending node id), ties break on
 ``(ratio, |S|, sorted ids)``, duplicates are removed with the shared
 :func:`~repro.core.csr.candidate_key` hashing, and both consume the RNG
 identically — so probe minima, witnesses, and ``candidates_checked`` are
@@ -41,14 +42,9 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterable, Union
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.core.csr import (
-    CSRView,
-    candidate_key,
-    candidate_key_array,
-    mix64,
-    sorted_unique,
-)
+from repro.core.csr import CSRView, candidate_key, candidate_key_array, mix64
 from repro.core.snapshot import Snapshot
 from repro.errors import AnalysisError
 from repro.util.rng import SeedLike, make_rng
@@ -62,34 +58,10 @@ EXACT_ENUMERATION_LIMIT = 22
 #: Either graph representation accepted by the probes.
 GraphLike = Union[Snapshot, CSRView]
 
-#: Sources per vectorized multi-source BFS chunk (bounds the mask buffer).
-_BALL_CHUNK = 512
-
-#: Byte budget of the chunked BFS ``visited`` mask: at large vert spaces
-#: the chunk shrinks so the mask never exceeds this (a (512, 2M) boolean
-#: buffer would otherwise cost ~1 GB at n = 1e6).
-_BALL_SCRATCH_BYTES = 128 << 20
-
-# One reusable all-False visited buffer, shared by every ball sweep in
-# the process (the kernels clear exactly the bits they set, so reuse is
-# free).  Probes run on the simulation thread; this scratch is not
-# thread-safe, like the backends themselves.
-_ball_visited: np.ndarray | None = None
-
-
-def _ball_scratch(chunk: int, space: int) -> np.ndarray:
-    global _ball_visited
-    buf = _ball_visited
-    if buf is None or buf.shape[0] < chunk or buf.shape[1] != space:
-        buf = np.zeros((chunk, space), dtype=bool)
-        _ball_visited = buf
-    return buf[:chunk]
-
-
-def _drop_ball_scratch() -> None:
-    """Discard the shared mask (it may hold stale bits after an error)."""
-    global _ball_visited
-    _ball_visited = None
+#: Stored-entry budget of a ball chunk's widest sparse product (~128 MiB
+#: at ~24 bytes per entry across the product, its kept-row slice and the
+#: mix gather): sources per chunk shrink as the balls can widen.
+_BALL_NNZ = (128 << 20) // 24
 
 
 @dataclass(frozen=True)
@@ -445,17 +417,17 @@ def _greedy_grow(
 
 
 class BallRecorder:
-    """Raw ball-phase candidate stream, recorded instead of scored inline.
+    """Raw ball-phase candidate stream, recorded for one scoring pass.
 
-    Attached to a :class:`_CSRProbe`, the ball kernels append every
-    ``(root id, radius, |B_r|, xor, ratio)`` entry the inline path would
-    have offered — *before* dedupe, because deduplication context changes
-    between observation windows — plus each root's final kept-ball
-    radius.  The incremental plane
-    (:mod:`repro.analysis.incremental`) caches these per root, replays
-    the entries of balls churn did not reach, and scores the merged
-    stream with :meth:`_CSRProbe.score_recorded`, reproducing the cold
-    probe bit for bit.
+    Attached to a :class:`_CSRProbe`, the ball kernel appends every
+    ``(root id, radius, |B_r|, xor, ratio)`` ball candidate — *before*
+    dedupe, because deduplication context changes between observation
+    windows — plus each root's final kept-ball radius.  A cold probe
+    scores the stream directly with :meth:`_CSRProbe.score_recorded`;
+    the incremental plane (:mod:`repro.analysis.incremental`) caches it
+    per root, replays the entries of balls churn did not reach, and
+    scores the merged stream the same way, reproducing the cold probe
+    bit for bit.
     """
 
     def __init__(self) -> None:
@@ -513,6 +485,27 @@ class BallRecorder:
         )
 
 
+def _closed_adjacency(view: CSRView) -> sp.csr_matrix:
+    """``S = A + I`` over the view's vert space, as a bool CSR matrix.
+
+    Bool data is load-bearing: scipy's sparse product drops entries whose
+    sum is 0, so an integer path-count dtype could wrap to 0 and silently
+    lose a ball member; bool sums (logical or) never vanish.
+    """
+    space = view.space
+    entries = int(view.indptr[-1]) + space
+    index_dtype = np.int32 if entries <= np.iinfo(np.int32).max else np.int64
+    indptr = (view.indptr + np.arange(space + 1)).astype(index_dtype)
+    diagonal = indptr[:-1]
+    indices = np.empty(entries, dtype=index_dtype)
+    off_diagonal = np.ones(indices.size, dtype=bool)
+    off_diagonal[diagonal] = False
+    indices[diagonal] = np.arange(space)
+    indices[off_diagonal] = view.indices
+    data = np.ones(indices.size, dtype=bool)
+    return sp.csr_matrix((data, indices, indptr), shape=(space, space))
+
+
 class _CSRProbe:
     """One probe run on a :class:`CSRView`: phases + shared dedupe/minimum.
 
@@ -534,11 +527,11 @@ class _CSRProbe:
         self.best = _BestCandidate()
         self.seen: set[int] = set()
         self.checked = 0
-        # With a recorder attached, ball kernels record their candidate
-        # stream instead of scoring it; score_recorded() later registers
-        # the deduplicated keys here so the greedy/random phases skip
-        # (and count) exactly what the inline path would have.
-        self.recorder = recorder
+        # The ball kernel records its candidate stream here;
+        # score_recorded() scores it and registers the deduplicated keys
+        # so the greedy/random phases skip (and count) exactly what the
+        # Snapshot path's single pass would.
+        self.recorder = BallRecorder() if recorder is None else recorder
         self._ball_keys: np.ndarray | None = None
 
     def _register(self, key: int) -> bool:
@@ -580,112 +573,76 @@ class _CSRProbe:
     # -- multi-source BFS balls (covers singletons + neighbourhoods) ---
 
     def ball_phase(self, sources: np.ndarray | None = None) -> None:
-        """Balls of every radius around every node, via mask frontiers.
+        """Balls of every radius around every node, as sparse matrix products.
 
         Covers portfolio phases 1+2 of the reference path: the radius-0
-        ball is the singleton, radius 1 the closed neighbourhood.  Each
-        ball ``B_r`` is scored with ``|∂B_r| = |shell_{r+1}|`` — the next
-        BFS shell *is* the outer boundary — so scoring costs nothing
-        beyond the BFS itself.  Sources advance in lockstep chunks over
-        one shared, selectively-cleared ``visited`` mask; the chunk
-        shrinks at large vert spaces so the mask stays within
-        :data:`_BALL_SCRATCH_BYTES`.  Chunking cannot change results:
-        dedupe keys and the tie-break are evaluation-order independent.
+        ball is the singleton, radius 1 the closed neighbourhood.  With
+        the closed adjacency ``S = A + I``, row ``i`` of ``B_{r+1} = B_r
+        @ S`` is the radius-``r+1`` ball of source ``i``, so a chunk of
+        sources grows all its balls with one product per radius, and
+        ``|shell_{r+1}| = nnz(B_{r+1}) − nnz(B_r)`` row by row.  The next
+        shell *is* the outer boundary of ``B_r``, so scoring costs
+        nothing beyond the products.  Chunks shrink as balls can widen,
+        keeping the widest product within :data:`_BALL_NNZ` entries;
+        chunking cannot change results (dedupe keys and the tie-break
+        are evaluation-order independent).
 
-        *sources* defaults to every alive vert; the incremental plane
-        passes only the roots whose cached balls churn invalidated.
+        Every ball candidate goes to the probe's :class:`BallRecorder`;
+        :meth:`score_recorded` scores the stream.  *sources* defaults to
+        every alive vert; the incremental plane passes only the roots
+        whose cached balls churn invalidated.
         """
         view = self.view
         if sources is None:
             sources = view.alive_verts
         if sources.size == 0:
             return
-        space = max(view.space, 1)
-        budget_rows = max(_BALL_SCRATCH_BYTES // space, 16)
-        chunk = int(min(_BALL_CHUNK, sources.size, budget_rows))
-        visited = _ball_scratch(chunk, view.space)
-        try:
-            for start in range(0, sources.size, chunk):
-                self._ball_chunk(sources[start : start + chunk], visited)
-        except BaseException:
-            # The mask may hold uncleared bits mid-sweep; never reuse it.
-            _drop_ball_scratch()
-            raise
+        closed = _closed_adjacency(view)
+        # A kept ball has at most max_size members, so its next ball at
+        # most max_size · (Δ + 1).
+        widest = min(view.n, self.max_size * (int(view.degrees.max()) + 1))
+        chunk = max(_BALL_NNZ // max(widest, 1), 1)
+        for start in range(0, sources.size, chunk):
+            self._ball_chunk(sources[start : start + chunk], closed)
 
-    def _ball_chunk(self, src_verts: np.ndarray, visited: np.ndarray) -> None:
-        view = self.view
-        space = view.space
-        mixv = view.mix
-        recorder = self.recorder
+    def _ball_chunk(self, src_verts: np.ndarray, closed: sp.csr_matrix) -> None:
+        mixv = self.view.mix
         count = src_verts.size
-        rows = np.arange(count, dtype=np.int64)
-
-        visited[rows, src_verts] = True
-        marks: list[tuple[np.ndarray, np.ndarray]] = [(rows, src_verts)]
-        frontier_src = rows
-        frontier_vert = src_verts
         ball_size = np.ones(count, dtype=np.int64)
-        ball_xor = mixv[src_verts].copy()
         # Pending candidate per source: the current ball, awaiting its
         # boundary count from the next shell.  Radius-0 balls (the
         # singletons) start pending whenever size 1 is inside the window.
         pend_active = np.full(count, self.min_size <= 1 <= self.max_size)
         pend_size = ball_size.copy()
-        pend_xor = ball_xor.copy()
+        pend_xor = mixv[src_verts].copy()
         pend_radius = np.zeros(count, dtype=np.int64)
         grow = np.full(count, 1 < self.max_size)
         kept_radius = np.zeros(count, dtype=np.int64)
         radius = 0
+        # Sources still growing or pending, and their current balls as
+        # the rows of a sparse matrix (None: the radius-0 singletons).
+        active = np.arange(count, dtype=np.int64)
+        balls: sp.csr_matrix | None = None
 
-        while frontier_vert.size:
-            # Next shell: unvisited distinct neighbours, per source.
-            flat, owner_pos = view.gather_neighbors(frontier_vert)
-            src_rep = frontier_src[owner_pos]
-            fresh = ~visited[src_rep, flat]
-            pair_keys = sorted_unique(src_rep[fresh] * space + flat[fresh])
-            shell_src = pair_keys // space
-            shell_vert = pair_keys % space
-            shell_count = np.bincount(shell_src, minlength=count)
+        while True:
+            grown = closed[src_verts] if balls is None else balls @ closed
+            shell_count = np.zeros(count, dtype=np.int64)
+            shell_count[active] = np.diff(grown.indptr) - ball_size[active]
 
-            # Score pending balls: ratio = |shell_{r+1}| / |B_r|.
+            # Record pending balls: ratio = |shell_{r+1}| / |B_r|.
             pending = np.nonzero(pend_active)[0]
             if pending.size:
-                if recorder is not None:
-                    # Incremental mode: hand the raw (pre-dedupe) stream
-                    # to the recorder; score_recorded() evaluates the
-                    # merged cached+fresh stream later.
-                    recorder.add_entries(
-                        view.vert_ids[src_verts[pending]],
-                        pend_radius[pending],
-                        pend_size[pending],
-                        pend_xor[pending],
-                        shell_count[pending] / pend_size[pending],
-                    )
-                else:
-                    keys = candidate_key_array(
-                        pend_size[pending].astype(np.uint64),
-                        pend_xor[pending],
-                    )
-                    ratios = shell_count[pending] / pend_size[pending]
-                    for local, key, ratio in zip(
-                        pending.tolist(), keys.tolist(), ratios.tolist()
-                    ):
-                        if not self._register(key):
-                            continue
-                        self.best.offer(
-                            ratio,
-                            int(pend_size[local]),
-                            lambda local=local: view.ids_sorted(
-                                self._ball_members(
-                                    int(src_verts[local]),
-                                    int(pend_radius[local]),
-                                )
-                            ),
-                        )
+                self.recorder.add_entries(
+                    self.view.vert_ids[src_verts[pending]],
+                    pend_radius[pending],
+                    pend_size[pending],
+                    pend_xor[pending],
+                    shell_count[pending] / pend_size[pending],
+                )
 
-            # Continuation: a source keeps its frontier while it still
-            # grows (|B| < max) or the grown ball needs one more shell
-            # for scoring (|B_{r+1}| == max exactly).
+            # Continuation: a source keeps its ball while it still grows
+            # (|B| < max) or the grown ball needs one more shell for
+            # scoring (|B_{r+1}| == max exactly).
             growing = grow & (shell_count > 0)
             new_size = ball_size + shell_count
             pend_active = growing & (new_size >= self.min_size) & (
@@ -695,25 +652,21 @@ class _CSRProbe:
             keep = pend_active | grow
             if not keep.any():
                 break
-            keep_entry = keep[shell_src]
-            shell_src = shell_src[keep_entry]
-            shell_vert = shell_vert[keep_entry]
-            visited[shell_src, shell_vert] = True
-            marks.append((shell_src, shell_vert))
-            np.bitwise_xor.at(ball_xor, shell_src, mixv[shell_vert])
+            keep_rows = np.nonzero(keep[active])[0]
+            balls = grown if keep_rows.size == active.size else grown[keep_rows]
+            active = active[keep_rows]
             ball_size = np.where(keep, new_size, ball_size)
             radius += 1
             kept_radius = np.where(keep, radius, kept_radius)
+            pend_xor[active] = np.where(
+                pend_active[active],
+                np.bitwise_xor.reduceat(mixv[balls.indices], balls.indptr[:-1]),
+                pend_xor[active],
+            )
             pend_size = np.where(pend_active, ball_size, pend_size)
-            pend_xor = np.where(pend_active, ball_xor, pend_xor)
             pend_radius = np.where(pend_active, radius, pend_radius)
-            frontier_src, frontier_vert = shell_src, shell_vert
 
-        if recorder is not None:
-            recorder.add_roots(view.vert_ids[src_verts], kept_radius)
-
-        for mark_src, mark_vert in marks:
-            visited[mark_src, mark_vert] = False
+        self.recorder.add_roots(self.view.vert_ids[src_verts], kept_radius)
 
     def _ball_members(self, source_vert: int, radius: int) -> np.ndarray:
         """Recompute one ball's member verts (only for contending balls)."""
@@ -740,18 +693,17 @@ class _CSRProbe:
         xors: np.ndarray,
         ratios: np.ndarray,
     ) -> None:
-        """Score a merged ball-candidate stream in one vectorized pass.
+        """Score a ball-candidate stream in one vectorized pass.
 
-        The incremental counterpart of the inline scoring loop: the
-        stream mixes freshly-recorded entries with entries replayed from
-        a previous window's cache, in arbitrary order — dedupe keys, the
-        distinct-candidate count, and the ``(ratio, size, members)``
-        tie-break are all evaluation-order independent, so the outcome
-        is bit-identical to the cold inline path.  Must run before the
-        greedy/random phases (their dedupe consults the registered ball
-        keys); only candidates achieving the stream's minimal
-        ``(ratio, size)`` are offered, with members recomputed by a
-        per-root BFS exactly as the inline path does for contenders.
+        The stream may mix freshly-recorded entries with entries
+        replayed from a previous window's cache, in arbitrary order —
+        dedupe keys, the distinct-candidate count, and the ``(ratio,
+        size, members)`` tie-break are all evaluation-order independent,
+        so the outcome equals the Snapshot path's one-by-one scoring.
+        Must run before the greedy/random phases (their dedupe consults
+        the registered ball keys); only candidates achieving the
+        stream's minimal ``(ratio, size)`` are offered, with members
+        recomputed by a per-root BFS.
         """
         if roots.size == 0:
             return
@@ -881,6 +833,7 @@ def _adversarial_probe_csr(
     rng = make_rng(seed)
     probe = _CSRProbe(view, min_size, max_size)
     probe.ball_phase()
+    probe.score_recorded(*probe.recorder.entries())
     probe.greedy_phase(greedy_restarts)
     probe.random_phase(rng, num_random_sets)
     return probe.result()

@@ -118,6 +118,41 @@ class _InRefIndex(dict):
         return refs
 
 
+def _window_touched(
+    start: np.ndarray, final: np.ndarray, base: int, n: int, W: int
+) -> list[int]:
+    """Ids whose incident topology a fused window changed, net.
+
+    *start* holds the window's ``n`` initial rows of local targets
+    (``local = id − base``, −1 = empty) and *final* the ``n`` survivors'
+    rows at window end (locals ``W..n+W-1``).  The set is the ids that
+    died, the newborns, the old targets of the dead rows, and for every
+    surviving slot whose target changed its source plus the old and new
+    target — a superset of the endpoints of every edge that appeared or
+    vanished, and a subset of what the per-event kernel touches.
+    """
+    keep = max(n - W, 0)  # original rows alive at window end
+    before = start[n - keep :]
+    after = final[:keep]
+    rows, cols = np.nonzero(before != after)
+    old = before[rows, cols]
+    new = after[rows, cols]
+    born = final[keep:]
+    dead = start[: n - keep]
+    local = np.concatenate(
+        [
+            np.arange(W, dtype=np.int64),  # died
+            np.arange(n, n + W, dtype=np.int64),  # newborns
+            dead[dead >= 0],
+            rows + (n - keep),
+            old[old >= 0],
+            new[new >= 0],
+            born[born >= 0],
+        ]
+    )
+    return (sorted_unique(local) + base).tolist()
+
+
 def _compact_default() -> bool:
     """The ``REPRO_COMPACT_CSR`` environment default for new backends."""
     value = os.environ.get("REPRO_COMPACT_CSR", "").strip().lower()
@@ -683,6 +718,8 @@ class ArraySlotBackend(GraphBackend):
                 self._id_of[current[valid0]].astype(np.int64) - base
             )
         out_flat = out.reshape(-1)
+        # Window-start slots, for the net-change touched set (tracked only).
+        start_slots = out[:n].copy() if self._touched is not None else None
 
         surv = out[W:]
         if regenerate:
@@ -736,7 +773,9 @@ class ArraySlotBackend(GraphBackend):
         self.alive = IndexedSet.from_unique_list(final_ids.tolist())
         self._mark_in_refs_stale()
         self._note_mutation(
-            range(base, base + n + W) if self._touched is not None else ()
+            _window_touched(start_slots, surv, base, n, W)
+            if start_slots is not None
+            else ()
         )
 
     def _fused_regen_rounds(

@@ -94,7 +94,9 @@ class GraphBackend(ABC):
         whose incident topology it changed — for an edge change both
         endpoints, for a death the dead node plus every former
         neighbour, for a birth the newborn plus its targets — until
-        :meth:`drain_touched` collects them.  Tracking costs one set
+        :meth:`drain_touched` collects them.  A bulk kernel may record
+        its net change instead of every intermediate step (the array
+        backend's :meth:`apply_round_batch` does).  Tracking costs one set
         update per mutation and nothing when disabled.
         """
         if self._touched is None:
