@@ -9,7 +9,6 @@ engineered overlay behaves like the idealised PDGR model (no isolated
 nodes, O(log n) flooding).
 """
 
-from repro.p2p.addrman import AddressManager
 from repro.p2p.network import BitcoinLikeNetwork
 
-__all__ = ["AddressManager", "BitcoinLikeNetwork"]
+__all__ = ["BitcoinLikeNetwork"]

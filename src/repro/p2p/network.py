@@ -13,20 +13,29 @@ unchanged) with the engineering realities the PDGR model abstracts away:
 * when a neighbour dies, the lost out-slot is *not* regenerated instantly:
   the node re-dials during the next maintenance tick (once per time unit);
 * once per tick every node gossips a few known addresses to a random
-  neighbour (``addr`` messages), keeping tables "sufficiently random".
+  neighbour (``addr`` messages), keeping tables "sufficiently random";
+  the tick's messages are all built from start-of-tick tables.
 
 EXP-14 checks this engineered overlay matches PDGR's qualitative claims.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.churn.poisson import PoissonJumpChain
 from repro.core.backend import GraphBackend
 from repro.core.edge_policy import EdgePolicy
 from repro.errors import ConfigurationError
 from repro.models.base import DynamicNetwork, RoundReport
-from repro.p2p.addrman import AddressManager
-from repro.sim.events import EdgeCreated, EventRecord, NodeBorn, NodeDied
+from repro.p2p.addrman import AddressTable
+from repro.sim.events import (
+    EdgeCreated,
+    EdgeDestroyed,
+    EventRecord,
+    NodeBorn,
+    NodeDied,
+)
 from repro.util.rng import SeedLike
 
 
@@ -77,7 +86,10 @@ class BitcoinLikeNetwork(DynamicNetwork):
         self.addr_capacity = addr_capacity
         self.gossip_fanout = gossip_fanout
         self.dial_attempts = dial_attempts
-        self.addrmans: dict[int, AddressManager] = {}
+        self.addresses = AddressTable(addr_capacity)
+        #: Alive nodes that may have an empty out-slot: joiners left
+        #: short, sources orphaned by a death, nodes a tick left short.
+        self._short: set[int] = set()
         self.event_count = 0
         self.failed_dials = 0
         self.successful_dials = 0
@@ -122,69 +134,102 @@ class BitcoinLikeNetwork(DynamicNetwork):
         node_id = self.state.allocate_id()
         self.state.add_node(node_id, birth_time=self.now, num_slots=self.policy.d)
         record = EventRecord(time=self.now, kind=NodeBorn(node_id=node_id))
-        addrman = AddressManager(node_id, capacity=self.addr_capacity)
-        self.addrmans[node_id] = addrman
+        self.addresses.open(node_id)
         # DNS bootstrap: a uniform sample of currently-alive nodes.
         seeds = self.state.sample_targets(self.rng, self.dns_seed_size, exclude=node_id)
-        addrman.add_many(seeds, self.rng)
-        self._dial_missing_slots(node_id, record)
+        self.addresses.add(node_id, seeds, self.rng)
+        if self._dial_missing_slots(node_id, record):
+            self._short.add(node_id)
         return record
 
     def _handle_leave(self, node_id: int) -> EventRecord:
         record = EventRecord(time=self.now, kind=NodeDied(node_id=node_id))
-        from repro.sim.events import EdgeDestroyed
-
-        for neighbor in list(self.state.neighbors(node_id)):
-            record.edges_destroyed.append(EdgeDestroyed(node_id, neighbor))
-        self.state.remove_node(node_id, death_time=self.now)
-        self.addrmans.pop(node_id, None)
+        record.edges_destroyed.extend(
+            EdgeDestroyed(node_id, neighbor)
+            for neighbor in self.state.neighbors(node_id)
+        )
+        orphaned = self.state.remove_node(node_id, death_time=self.now)
+        self.addresses.close(node_id)
         # Peers that lost an outbound slot re-dial at the next tick.
+        self._short.discard(node_id)
+        self._short.update(source for source, _ in orphaned)
         return record
 
     # ------------------------------------------------------------------
     # maintenance: re-dialling and addr gossip
     # ------------------------------------------------------------------
 
-    def _maintenance_tick(self) -> None:
-        for node_id in self.state.alive_ids():
-            record = EventRecord(time=self.now, kind=NodeBorn(node_id=node_id))
-            self._dial_missing_slots(node_id, record)
-        self._gossip_addresses()
+    def known_addresses(self, node_id: int) -> list[int]:
+        """The addresses in *node_id*'s address table."""
+        return self.addresses.known(node_id)
 
-    def _dial_missing_slots(self, node_id: int, record: EventRecord) -> None:
-        addrman = self.addrmans[node_id]
+    def _maintenance_tick(self) -> None:
+        alive = self.state.alive_ids()
+        self._redial(alive)
+        self._gossip_addresses(alive)
+
+    def _redial(self, alive: list[int]) -> None:
+        """Dial every empty out-slot, visiting nodes in *alive* order.
+
+        Only nodes in the short set can have an empty slot, and dialling
+        a node with none draws no randomness, so skipping the rest
+        dials exactly as a scan of every alive node would.
+        """
+        short = self._short
+        still_short = set()
+        for node_id in alive:
+            if node_id in short and self._dial_missing_slots(node_id):
+                still_short.add(node_id)
+        self._short = still_short
+
+    def _dial_missing_slots(
+        self, node_id: int, record: EventRecord | None = None
+    ) -> bool:
+        """Dial *node_id*'s empty out-slots; True if one is still empty."""
+        addresses = self.addresses
         slots = self.state.out_slots_of(node_id)
+        short = False
         for slot_index, current in enumerate(slots):
             if current is not None:
                 continue
+            filled = False
             for _ in range(self.dial_attempts):
-                address = addrman.sample(self.rng)
+                address = addresses.sample(node_id, self.rng)
                 if address is None:
                     break
                 if not self.state.is_alive(address):
-                    addrman.remove(address)  # stale address: evict, retry
+                    addresses.remove(node_id, address)  # stale: evict, retry
                     self.failed_dials += 1
-                    continue
-                if address == node_id:
                     continue
                 if self.state.in_slot_count(address) >= self.max_inbound:
                     self.failed_dials += 1
                     continue  # peer is full
                 self.state.assign_slot(node_id, slot_index, address)
-                record.edges_created.append(
-                    EdgeCreated(source=node_id, target=address)
-                )
+                if record is not None:
+                    record.edges_created.append(
+                        EdgeCreated(source=node_id, target=address)
+                    )
                 self.successful_dials += 1
+                filled = True
                 break
+            short = short or not filled
+        return short
 
-    def _gossip_addresses(self) -> None:
-        """Each node pushes a few known addresses to one random neighbour."""
-        for node_id in self.state.alive_ids():
-            peer = self.state.random_neighbor(node_id, self.rng)
-            if peer is None:
-                continue
-            payload = self.addrmans[node_id].advertise(self.rng, self.gossip_fanout)
-            payload.append(node_id)  # self-advertisement, as in Bitcoin
-            peer_addrman = self.addrmans.get(peer)
-            if peer_addrman is not None:
-                peer_addrman.add_many(payload, self.rng)
+    def _gossip_addresses(self, alive: list[int]) -> None:
+        """Each node pushes a few known addresses to one random neighbour.
+
+        One synchronous step: every peer is drawn from one uniform vector
+        over the node's neighbours in ascending-id order (the same on
+        every backend), and every message is built from start-of-tick
+        tables (:meth:`AddressTable.gossip`).
+        """
+        neighbor_lists = map(sorted, map(self.state.neighbors, alive))
+        senders, candidates = [], []
+        for node_id, neighbors in zip(alive, neighbor_lists):
+            if neighbors:
+                senders.append(node_id)
+                candidates.append(neighbors)
+        degrees = np.fromiter(map(len, candidates), dtype=np.int64, count=len(senders))
+        picks = (self.rng.random(len(senders)) * degrees).astype(np.int64)
+        peers = list(map(list.__getitem__, candidates, picks.tolist()))
+        self.addresses.gossip(senders, peers, self.gossip_fanout, self.rng)

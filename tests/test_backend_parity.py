@@ -30,6 +30,7 @@ from repro.flooding.discretized import flood_discretized
 from repro.models.adversarial import AdversarialStreamingNetwork
 from repro.models.poisson import PDG, PDGR
 from repro.models.streaming import SDG, SDGR
+from repro.p2p import BitcoinLikeNetwork
 
 
 def both_backends(factory):
@@ -91,6 +92,23 @@ def test_adversarial_trace_parity():
         a.advance_round()
         b.advance_round()
     assert_states_identical(a, b)
+
+
+def test_bitcoin_overlay_parity():
+    """The overlay's gossip draws each peer from the sender's neighbours
+    in ascending-id order, so a seeded overlay — dial counters, topology
+    and every address table — is bit-identical on both backends."""
+    a, b = both_backends(
+        lambda backend: BitcoinLikeNetwork(n=60, seed=0, backend=backend)
+    )
+    for _ in range(2):
+        assert_states_identical(a, b)
+        assert a.successful_dials == b.successful_dials
+        assert a.failed_dials == b.failed_dials
+        for u in a.state.alive_ids():
+            assert a.known_addresses(u) == b.known_addresses(u)
+        a.run_rounds(30)
+        b.run_rounds(30)
 
 
 @pytest.mark.parametrize(
